@@ -243,6 +243,24 @@ class MatchingResult:
     witness: Optional[ComplementarityWitness]
 
 
+def _match_singletons(s1: ParameterSystem, s2: ParameterSystem
+                      ) -> Optional[list[tuple[int, int]]]:
+    """Sorted 0-based pairs (i, j) matching every progression of s1 to one
+    of s2 with equal (a, b mod a, phi mod a), or None when no such
+    bijection exists.  Matched progressions agree at every shift t."""
+    if s1.size != s2.size:
+        return None
+
+    def key(s, i):
+        return s.a[i], s.b[i] % s.a[i], s.phi[i] % s.a[i]
+
+    lhs = sorted(range(s1.size), key=lambda i: key(s1, i))
+    rhs = sorted(range(s2.size), key=lambda j: key(s2, j))
+    if any(key(s1, i) != key(s2, j) for i, j in zip(lhs, rhs)):
+        return None
+    return sorted(zip(lhs, rhs))
+
+
 def decompose_homogeneous(s1: ParameterSystem, s2: ParameterSystem) -> MatchingResult:
     """For complementary homogeneous systems, produce the bijection with
     equal moduli and congruent t-coefficients; otherwise return the
@@ -256,17 +274,9 @@ def decompose_homogeneous(s1: ParameterSystem, s2: ParameterSystem) -> MatchingR
     failing t; not finding one is an internal consistency error."""
     if not (s1.is_homogeneous and s2.is_homogeneous):
         raise NotHomogeneous("both systems must have phi = 0 (mod a)")
-    if s1.size == s2.size:
-        lhs = sorted(range(s1.size), key=lambda i: (s1.a[i], s1.b[i] % s1.a[i]))
-        rhs = sorted(range(s2.size), key=lambda j: (s2.a[j], s2.b[j] % s2.a[j]))
-        pairs = []
-        for i, j in zip(lhs, rhs):
-            if s1.a[i] != s2.a[j] or (s1.b[i] - s2.b[j]) % s1.a[i] != 0:
-                break
-            pairs.append((i + 1, j + 1))
-        else:
-            pairs.sort()
-            return MatchingResult(True, tuple(pairs), None)
+    pairs = _match_singletons(s1, s2)
+    if pairs is not None:
+        return MatchingResult(True, tuple((i + 1, j + 1) for i, j in pairs), None)
     ok, wit = complementary(s1, s2)
     if ok:
         raise AssertionError(
@@ -323,21 +333,11 @@ def decompose_search(s1: ParameterSystem, s2: ParameterSystem, mode: str,
                      for J, K in parts)
 
     if mode == "complete":
-        key1 = sorted(range(s1.size),
-                      key=lambda i: (s1.a[i], s1.b[i] % s1.a[i], s1.phi[i] % s1.a[i]))
-        key2 = sorted(range(s2.size),
-                      key=lambda j: (s2.a[j], s2.b[j] % s2.a[j], s2.phi[j] % s2.a[j]))
-        if s1.size != s2.size:
+        pairs = _match_singletons(s1, s2)
+        if pairs is None:
             return Decomposition(mode, False, None, _VERDICT_NONE[mode])
-        parts = []
-        for i, j in zip(key1, key2):
-            if (s1.a[i] != s2.a[j]
-                    or (s1.b[i] - s2.b[j]) % s1.a[i] != 0
-                    or (s1.phi[i] - s2.phi[j]) % s1.a[i] != 0):
-                return Decomposition(mode, False, None, _VERDICT_NONE[mode])
-            parts.append(((i,), (j,)))
-        parts.sort()
-        return Decomposition(mode, True, as_parts(parts), "DECOMPOSED")
+        return Decomposition(mode, True, as_parts(((i,), (j,)) for i, j in pairs),
+                             "DECOMPOSED")
 
     rhs_by_density = _subsets_by_density(s2)
 

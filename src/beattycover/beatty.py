@@ -11,14 +11,14 @@ interval floor difference.
 
 The window scanner cross-checks each count against the fractional-sum
 identity r(N) = m + eps(N) - eps(N+1), where eps(N) is the sum of
-fractional parts {N*theta_i + gamma_i}.  Scans over rational or
-quadratic data run on pure integers (one integer square root per floor);
-anchored or mixed-field data fall back to the generic certified path.
+fractional parts {N*theta_i + gamma_i}.  One scan loop serves every
+count; per sequence it runs on pure integers (one integer square root
+per floor) when theta and gamma lie in one quadratic field, and on
+certified refinement when anchors or several fields are involved.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -34,9 +34,7 @@ from .exactnum import (
     add,
     as_real,
     ceil_certified,
-    ceil_scaled_quadratic,
     collapse,
-    compare,
     div,
     floor_certified,
     floor_scaled_quadratic,
@@ -161,38 +159,21 @@ class _FastEval:
 
     __slots__ = ("At", "Bt", "Ag", "Bg", "d", "R")
 
-    def __init__(self, theta, gamma):
-        st = _decompose_simple(theta)
-        sg = _decompose_simple(gamma)
-        if st is None or sg is None:
-            raise TypeError("not reducible to one quadratic field")
+    def __init__(self, st, sg):
         at, bt, dt, rt = st
         ag, bg, dg, rg = sg
-        if bt and bg and dt != dg:
-            raise TypeError("theta and gamma live in different fields")
         self.d = dt if bt else dg
         self.R = rt * rg
         self.At, self.Bt = at * rg, bt * rg
         self.Ag, self.Bg = ag * rt, bg * rt
 
-    def floor(self, n: int) -> int:
-        return floor_scaled_quadratic(self.At * n + self.Ag,
-                                      self.Bt * n + self.Bg, self.d, self.R)
-
-    def ceil(self, n: int) -> int:
-        return ceil_scaled_quadratic(self.At * n + self.Ag,
-                                     self.Bt * n + self.Bg, self.d, self.R)
-
-    def frac_scaled(self, n: int, fl: int) -> tuple[int, int]:
-        """(P, B) with {n*theta + gamma} = (P + B*sqrt(d))/R, given the floor."""
-        return self.At * n + self.Ag - fl * self.R, self.Bt * n + self.Bg
-
-    def frac_value(self, n: int) -> CertifiedReal:
-        fl = self.floor(n)
-        p, b = self.frac_scaled(n, fl)
-        if b == 0:
-            return Fraction(p, self.R)
-        return QuadraticIrrational(p, b, self.d, self.R)
+    def floor_ceil(self, n: int) -> tuple[int, int]:
+        a = self.At * n + self.Ag
+        b = self.Bt * n + self.Bg
+        if b:
+            fl = floor_scaled_quadratic(a, b, self.d, self.R)
+            return fl, fl + 1
+        return a // self.R, -((-a) // self.R)
 
 
 class _GenericEval:
@@ -205,41 +186,64 @@ class _GenericEval:
         self.gamma = gamma
         self.max_bits = max_bits
 
-    def _value(self, n: int) -> CertifiedReal:
-        return add(mul(n, self.theta), self.gamma)
-
-    def floor(self, n: int) -> int:
-        return floor_certified(self._value(n), self.max_bits)
-
-    def ceil(self, n: int) -> int:
-        return ceil_certified(self._value(n), self.max_bits)
-
-    def frac_value(self, n: int) -> CertifiedReal:
-        return frac_certified(self._value(n), self.max_bits)
+    def floor_ceil(self, n: int) -> tuple[int, int]:
+        value = add(mul(n, self.theta), self.gamma)
+        return (floor_certified(value, self.max_bits),
+                ceil_certified(value, self.max_bits))
 
 
 def _make_eval(dual: DualParameters, max_bits=None):
-    try:
-        return _FastEval(dual.theta, dual.gamma)
-    except TypeError:
-        return _GenericEval(dual.theta, dual.gamma, max_bits)
+    """The integer evaluator when theta and gamma are rational or quadratic
+    in one common field, the certified one otherwise."""
+    st = _decompose_simple(dual.theta)
+    sg = _decompose_simple(dual.gamma)
+    if st is not None and sg is not None and (not st[1] or not sg[1]
+                                              or st[2] == sg[2]):
+        return _FastEval(st, sg)
+    return _GenericEval(dual.theta, dual.gamma, max_bits)
 
 
-def _hits(ev, N: int) -> int:
-    """Number of n >= 1 with floor(n*alpha + beta) == N."""
-    lo = ev.ceil(N)
-    hi = ev.ceil(N + 1)
-    return max(0, hi - max(lo, 1))
+def _scan(duals, lo: int, hi: int, max_bits=None):
+    """Yield (r(N), F(N), F(N+1)) for N = lo..hi, where r(N) counts the
+    hits of the sequences with dual parameters ``duals`` on N (indices
+    n >= 1) and F(N) = sum_i floor(N*theta_i + gamma_i).
+
+    The hits on N are the integers n >= 1 of [N*theta + gamma,
+    (N+1)*theta + gamma), counted from certified ceilings so lattice
+    boundary hits stay exact: with C(N) = sum_i max(ceil(N*theta_i +
+    gamma_i), 1), nondecreasing because every theta_i > 0, r(N) is
+    C(N+1) - C(N)."""
+    floor_ceils = [_make_eval(d, max_bits).floor_ceil for d in duals]
+    f_now = c_now = 0
+    for floor_ceil in floor_ceils:
+        fl, c = floor_ceil(lo)
+        f_now += fl
+        c_now += c if c > 1 else 1
+    for N in range(lo, hi + 1):
+        f_next = c_next = 0
+        try:
+            for floor_ceil in floor_ceils:
+                fl, c = floor_ceil(N + 1)
+                f_next += fl
+                c_next += c if c > 1 else 1
+        except PrecisionExhausted as e:
+            raise PrecisionExhausted(f"at N = {N}: {e}") from e
+        yield c_next - c_now, f_now, f_next
+        f_now, c_now = f_next, c_next
+
+
+def _r_at(duals, N: int, max_bits=None) -> int:
+    (r, _, _), = _scan(duals, N, N, max_bits)
+    return r
 
 
 def r_single(seq: BeattySequence, N: int, max_bits=None) -> int:
     """Multiplicity of N in S(alpha, beta); exact for every N >= 1."""
-    return _hits(_make_eval(dualize_sequence(seq), max_bits), N)
+    return _r_at([dualize_sequence(seq)], N, max_bits)
 
 
 def r_total(family: CoverFamily, N: int, max_bits=None) -> int:
-    evs = [_make_eval(d, max_bits) for d in dualize(family)]
-    return sum(_hits(ev, N) for ev in evs)
+    return _r_at(dualize(family), N, max_bits)
 
 
 def epsilon(family: CoverFamily, N: int, max_bits=None) -> CertifiedReal:
@@ -288,114 +292,47 @@ class RepresentationProfile:
         }
 
 
-def _scan_fast(family: CoverFamily, lo: int, hi: int, keep_epsilon: bool):
-    """Integer-only scan; requires every dual pair in one quadratic field."""
-    duals = dualize(family)
-    evs = [_FastEval(d.theta, d.gamma) for d in duals]
-    m = family.m
-    R_star = 1
-    for ev in evs:
-        R_star = R_star * ev.R // math.gcd(R_star, ev.R)
-    scale = [R_star // ev.R for ev in evs]
-
-    values: dict[int, int] = {}
-    eps_parts: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}
-    violations: list[int] = []
-    identity_failures: list[int] = []
-
-    fields = sorted({ev.d for ev in evs if ev.Bt or ev.Bg})
-
-    def eps_repr(n: int, floors: list[int]):
-        p_sum = 0
-        b_sums = dict.fromkeys(fields, 0)
-        for ev, s, fl in zip(evs, scale, floors):
-            p, b = ev.frac_scaled(n, fl)
-            p_sum += p * s
-            if b:
-                b_sums[ev.d] += b * s
-        return p_sum, tuple(b_sums.items())
-
-    floors_now = [ev.floor(lo) for ev in evs]
-    eps_now = eps_repr(lo, floors_now)
-    for N in range(lo, hi + 1):
-        floors_next = [ev.floor(N + 1) for ev in evs]
-        eps_next = eps_repr(N + 1, floors_next)
-        r = 0
-        for ev, fl_now, fl_next in zip(evs, floors_now, floors_next):
-            b_now = ev.Bt * N + ev.Bg
-            lo_c = fl_now + 1 if b_now else -((-(ev.At * N + ev.Ag)) // ev.R)
-            b_next = ev.Bt * (N + 1) + ev.Bg
-            hi_c = fl_next + 1 if b_next else -((-(ev.At * (N + 1) + ev.Ag)) // ev.R)
-            r += max(0, hi_c - max(lo_c, 1))
-        values[N] = r
-        if keep_epsilon:
-            eps_parts[N] = eps_now
-        if r != m:
-            violations.append(N)
-        # identity: eps(N) - eps(N+1) == (r - m) exactly
-        p_now, b_now_t = eps_now
-        p_next, b_next_t = eps_next
-        if b_now_t != b_next_t or p_now - p_next != (r - m) * R_star:
-            identity_failures.append(N)
-        floors_now, eps_now = floors_next, eps_next
-
-    eps_values: dict[int, CertifiedReal] = {}
-    if keep_epsilon:
-        for N, (p, bs) in eps_parts.items():
-            val: CertifiedReal = Fraction(p, R_star)
-            for d, b in bs:
-                if b:
-                    val = add(val, QuadraticIrrational(0, b, d, R_star))
-            eps_values[N] = val
-    return values, eps_values, violations, identity_failures
-
-
-def _scan_generic(family: CoverFamily, lo: int, hi: int, keep_epsilon: bool,
-                  max_bits=None):
-    duals = dualize(family)
-    evs = [_GenericEval(d.theta, d.gamma, max_bits) for d in duals]
-    m = family.m
-    values: dict[int, int] = {}
-    eps_values: dict[int, CertifiedReal] = {}
-    violations: list[int] = []
-    identity_failures: list[int] = []
-
-    def eps_at(n: int) -> CertifiedReal:
-        total: CertifiedReal = Fraction(0)
-        for ev in evs:
-            total = add(total, ev.frac_value(n))
-        return total
-
-    eps_now = eps_at(lo)
-    for N in range(lo, hi + 1):
-        try:
-            r = sum(_hits(ev, N) for ev in evs)
-            eps_next = eps_at(N + 1)
-        except PrecisionExhausted as e:
-            raise PrecisionExhausted(f"at N = {N}: {e}") from e
-        values[N] = r
-        if keep_epsilon:
-            eps_values[N] = eps_now
-        if r != m:
-            violations.append(N)
-        diff = sub(eps_now, eps_next)
-        if compare(diff, Fraction(r - m)) != 0:
-            identity_failures.append(N)
-        eps_now = eps_next
-    return values, eps_values, violations, identity_failures
-
-
-def _scan_range(family: CoverFamily, lo: int, hi: int, keep_epsilon: bool,
-                max_bits=None):
-    try:
-        return _scan_fast(family, lo, hi, keep_epsilon)
-    except TypeError:
-        return _scan_generic(family, lo, hi, keep_epsilon, max_bits)
-
-
 def _scan_chunk(args):
+    """Counts, violations, identity failures and (optionally) eps over
+    [lo, hi].
+
+    Since {x} = x - floor(x), eps(N) - eps(N+1) = F(N+1) - F(N) - sum theta,
+    so the identity r(N) = m + eps(N) - eps(N+1) is the integer test
+    r(N) - (F(N+1) - F(N)) == m - sum theta; when m - sum theta is not an
+    integer it fails at every N."""
     family, lo, hi, keep_epsilon, max_bits = args
-    return _scan_range(family, lo, hi, keep_epsilon, max_bits)
+    duals = dualize(family)
+    m = family.m
+    theta_sum: CertifiedReal = Fraction(0)
+    gamma_sum: CertifiedReal = Fraction(0)
+    for d in duals:
+        theta_sum = add(theta_sum, d.theta)
+        gamma_sum = add(gamma_sum, d.gamma)
+    k = sub(m, theta_sum)
+    k_int = k.numerator if isinstance(k, Fraction) and k.denominator == 1 else None
+    values: dict[int, int] = {}
+    eps_values: dict[int, CertifiedReal] = {}
+    violations: list[int] = []
+    identity_failures: list[int] = []
+    eps: Optional[CertifiedReal] = None
+    steps: dict[int, CertifiedReal] = {}  # F(N+1) - F(N) -> eps(N+1) - eps(N)
+    for N, (r, f_now, f_next) in enumerate(_scan(duals, lo, hi, max_bits), lo):
+        values[N] = r
+        if r != m:
+            violations.append(N)
+        df = f_next - f_now
+        if r - df != k_int:
+            identity_failures.append(N)
+        if keep_epsilon:
+            if eps is None:
+                eps = sub(add(mul(N, theta_sum), gamma_sum), f_now)
+            eps_values[N] = eps
+            step = steps.get(df)
+            if step is None:
+                step = steps[df] = sub(theta_sum, df)
+            if step != 0:
+                eps = add(eps, step)
+    return values, eps_values, violations, identity_failures
 
 
 def verify_window(family: CoverFamily, n_lo: int, n_hi: int, *,
@@ -456,18 +393,11 @@ def discrepancy_diagnostic(theta: RealLike, N: int,
             best = max(best, Fraction(i, N) - x, x - Fraction(i - 1, N))
         return best
     scale = 1 << 64
-    dec = _decompose_simple(theta)
-    keys = []
-    if dec is not None:
-        a, b, d, r = dec
-        for n in range(1, N + 1):
-            fl = floor_scaled_quadratic(a * n, b * n, d, r)
-            keys.append(floor_scaled_quadratic((a * n - fl * r) * scale,
-                                               b * n * scale, d, r))
-    else:
-        for n in range(1, N + 1):
-            f = frac_certified(mul(n, theta), max_bits)
-            keys.append(floor_certified(mul(f, Fraction(scale)), max_bits))
+    # floor(2^64*n*theta) - 2^64*floor(n*theta) = floor(2^64*{n*theta})
+    ev = _make_eval(DualParameters(theta, Fraction(0)), max_bits)
+    ev_scaled = _make_eval(DualParameters(mul(theta, scale), Fraction(0)), max_bits)
+    keys = [ev_scaled.floor_ceil(n)[0] - scale * ev.floor_ceil(n)[0]
+            for n in range(1, N + 1)]
     keys.sort()
     # maximise i/N - k/scale and k/scale - (i-1)/N over integers
     best_num = 0  # numerator over N*scale

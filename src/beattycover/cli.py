@@ -93,6 +93,8 @@ def _witness_json(w) -> dict:
 
 
 def cmd_verify(args):
+    if args.jobs < 1:
+        raise InputError("jobs must be at least 1")
     family = _load_family(args.family)
     lo, hi = args.window
     profile = beatty.verify_window(family, lo, hi, jobs=args.jobs,
@@ -108,13 +110,15 @@ def cmd_verify(args):
     return code, payload, rows
 
 
+_VERDICT_EXIT = {certify.CERTIFIED_EEC: EXIT_OK,
+                 certify.CERTIFIED_NOT_EEC: EXIT_COUNTEREXAMPLE,
+                 certify.INCONCLUSIVE: EXIT_INCONCLUSIVE}
+
+
 def cmd_certify_homogeneous(args):
     family = _load_family(args.family)
     cert = certify.certify_homogeneous(family)
-    code = {certify.CERTIFIED_EEC: EXIT_OK,
-            certify.CERTIFIED_NOT_EEC: EXIT_COUNTEREXAMPLE,
-            certify.INCONCLUSIVE: EXIT_INCONCLUSIVE}[cert.verdict]
-    return code, cert.to_json(), None
+    return _VERDICT_EXIT[cert.verdict], cert.to_json(), None
 
 
 def cmd_certify_pair(args):
@@ -123,10 +127,7 @@ def cmd_certify_pair(args):
         raise InputError("certify-pair expects a family of exactly 2 sequences")
     cert = certify.certify_pair_inhomogeneous(family.sequences[0],
                                               family.sequences[1], family.m)
-    code = {certify.CERTIFIED_EEC: EXIT_OK,
-            certify.CERTIFIED_NOT_EEC: EXIT_COUNTEREXAMPLE,
-            certify.INCONCLUSIVE: EXIT_INCONCLUSIVE}[cert.verdict]
-    return code, cert.to_json(), None
+    return _VERDICT_EXIT[cert.verdict], cert.to_json(), None
 
 
 def cmd_ap_equal(args):
@@ -319,8 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="interval refinement budget in bits (default 4096)")
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--out", help="write output to this file instead of stdout")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for window scans")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_parser(name, **kw):
@@ -330,6 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--window", nargs=2, type=int, required=True,
                    metavar=("LO", "HI"))
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for the window scan")
     p.set_defaults(handler=cmd_verify)
 
     p = add_parser("certify-homogeneous",
@@ -419,8 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", help="JSON file: list of certified reals")
     p.add_argument("--theta", help="sample at {n*theta}, n = 1..count")
     p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--expected", default="2",
-                   help="expected constant (default 2; the exact value is 3)")
+    p.add_argument("--expected", default="3",
+                   help="expected constant (default 3, the exact value)")
     p.set_defaults(handler=cmd_f_identity)
 
     return parser
@@ -441,9 +442,6 @@ def main(argv=None) -> int:
     if args.precision < 64:
         print(json.dumps({"error": "precision must be at least 64 bits"}),
               file=sys.stderr)
-        return EXIT_INPUT
-    if args.jobs < 1:
-        print(json.dumps({"error": "jobs must be at least 1"}), file=sys.stderr)
         return EXIT_INPUT
     exactnum.DEFAULT_MAX_BITS = args.precision
     if args.command == "f-identity" and not (bool(args.samples) ^ bool(args.theta)):

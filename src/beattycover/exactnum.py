@@ -520,15 +520,34 @@ def mul(x: RealLike, y: RealLike) -> CertifiedReal:
         const = Fraction(x.a * y.a, r)
         basis = Basis.make({l: basis_vals[l] for l, c in parts.items() if c != 0})
         return _linear(const, ((l, c) for l, c in parts.items() if c != 0), basis)
-    # mixed LinearExpr products: only defined when one side collapses to
-    # a rational or shares the other's quadratic field
+    # mixed LinearExpr products: a side that collapses is multiplied as
+    # its exact value; otherwise both sides must be rational combinations
+    # of square roots, and the product is expanded term by term
     for val, other in ((x, y), (y, x)):
         if isinstance(val, LinearExpr):
             c = collapse(val)
             if c is not None and not isinstance(c, LinearExpr):
                 return mul(c, other)
-    raise ArithmeticError("product of two irrational expressions leaves the "
-                          "representable class")
+    xs, ys = _quadratic_summands(x), _quadratic_summands(y)
+    if xs is None or ys is None:
+        raise ArithmeticError("product of two irrational expressions leaves the "
+                              "representable class")
+    total: CertifiedReal = Fraction(0)
+    for u in xs:
+        for v in ys:
+            total = add(total, mul(u, v))
+    return total
+
+
+def _quadratic_summands(x: CertifiedReal) -> Optional[list[CertifiedReal]]:
+    """x as a list of rational and quadratic summands, or None when x
+    involves an anchored basis value."""
+    if isinstance(x, QuadraticIrrational):
+        return [x]
+    vals = [x.basis.value(lab) for lab, _ in x.terms]
+    if not all(isinstance(v, QuadraticIrrational) for v in vals):
+        return None
+    return [x.constant] + [mul(c, v) for (_, c), v in zip(x.terms, vals)]
 
 
 def _qi_invert(q: QuadraticIrrational) -> CertifiedReal:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .beatty import BeattySequence, CoverFamily, _make_eval, DualParameters, r_total
+from .beatty import BeattySequence, CoverFamily, DualParameters, _scan
 from .exactnum import (
     CertifiedReal,
     RealLike,
@@ -90,7 +90,8 @@ class FractionalPair:
 
 
 def classify(pair: FractionalPair) -> tuple[str, tuple[int, ...]]:
-    """Case label and the exact set of values r can attain."""
+    """Case label and a set containing every value r attains (for 5/3
+    in case C.ii the bottom value has density 0 and never occurs)."""
     p, q = pair.p, pair.q
     base = p // q
     if q == 1:
@@ -116,17 +117,6 @@ def epsilon_cN(pair: FractionalPair, N: int,
     return c, 1 + Fraction(c, pair.q)
 
 
-def _r_values(pair: FractionalPair, n_max: int):
-    """Yield r(N) for N = 1..n_max on the fast integer path."""
-    ev1 = _make_eval(DualParameters(pair.theta1, Fraction(0)))
-    ev2 = _make_eval(DualParameters(pair.theta2, Fraction(0)))
-    f1_prev, f2_prev = ev1.floor(1), ev2.floor(1)
-    for N in range(1, n_max + 1):
-        f1, f2 = ev1.floor(N + 1), ev2.floor(N + 1)
-        yield (f1 - f1_prev) + (f2 - f2_prev)
-        f1_prev, f2_prev = f1, f2
-
-
 @dataclass(frozen=True)
 class RFormulaReport:
     n_max: int
@@ -148,16 +138,15 @@ def r_formula_value(pair: FractionalPair, N: int) -> int:
 def R_formula_check(pair: FractionalPair, n_max: int) -> RFormulaReport:
     """Brute-force partial sums of r against the closed form.
 
-    The running sum goes through the public per-N counter on the family
-    of the two sequences, an independent route from the fractional-part
+    The running sum adds the hit counts of the scan core over the two
+    dual sequences, an independent route from the fractional-part
     shortcut used elsewhere in this module."""
-    fam = pair.family()
     mismatches = []
     running = 0
     target = pair.q * n_max - 1
     checkpoints = {pair.q * N - 1: N for N in range(1, n_max + 1)}
-    for M in range(1, target + 1):
-        running += r_total(fam, M)
+    for M, (r, _, _) in enumerate(_scan(pair.duals(), 1, target), 1):
+        running += r
         N = checkpoints.get(M)
         if N is not None:
             formula = r_formula_value(pair, N)
@@ -262,7 +251,7 @@ def empirical_densities(pair: FractionalPair, n_max: int) -> EmpiricalReport:
         raise ValueError("n_max must be at least q")
     _, values = classify(pair)
     counts: dict[int, int] = {}
-    for r in _r_values(pair, n_max):
+    for r, _, _ in _scan(pair.duals(), 1, n_max):
         counts[r] = counts.get(r, 0) + 1
     outside = tuple(sorted(v for v in counts if v not in values))
     freqs = {v: Fraction(counts.get(v, 0), n_max) for v in values}

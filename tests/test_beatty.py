@@ -11,6 +11,10 @@ import pytest
 from beattycover.beatty import (
     BeattySequence,
     CoverFamily,
+    DualParameters,
+    _FastEval,
+    _GenericEval,
+    _make_eval,
     discrepancy_diagnostic,
     dualize_sequence,
     epsilon,
@@ -19,6 +23,9 @@ from beattycover.beatty import (
     verify_window,
 )
 from beattycover.exactnum import (
+    Basis,
+    DecimalAnchor,
+    LinearExpr,
     QuadraticIrrational,
     add,
     ceil_certified,
@@ -28,7 +35,15 @@ from beattycover.exactnum import (
     real_from_json,
     sub,
 )
-from conftest import INV_SQRT2, PHI, PHI_SQ, SQRT2, SQRT2_MINUS_1
+from conftest import (
+    INV_SQRT2,
+    PHI,
+    PHI_SQ,
+    SQRT2,
+    SQRT2_MINUS_1,
+    SQRT3,
+    anchored_sqrt2_minus_1,
+)
 
 
 def golden_family():
@@ -216,13 +231,90 @@ def test_verify_window_bad_bounds():
 def test_verify_window_mixed_field_generic_path():
     # beta in a different quadratic field than alpha forces the generic
     # certified evaluator; counts must match direct enumeration
-    from conftest import SQRT3
-
     seq = BeattySequence(SQRT2, SQRT3)
     fam = CoverFamily((seq,), 1)
     prof = verify_window(fam, 1, 40, keep_epsilon=False)
     for N in range(1, 41):
         assert prof.values[N] == enumerate_hits(seq, N)
+
+
+def mixed_field_family():
+    # alpha in Q(sqrt5), beta over sqrt2 and sqrt5: dualizing needs the
+    # product of two square-root combinations
+    beta = add(Fraction(1, 3), add(mul(Fraction(1, 2), SQRT2),
+                                   mul(Fraction(-1, 5), QuadraticIrrational(0, 1, 5, 1))))
+    return CoverFamily((BeattySequence(PHI, beta), BeattySequence(PHI_SQ)), 1)
+
+
+def test_verify_window_mixed_field_beta_counts():
+    fam = mixed_field_family()
+    prof = verify_window(fam, 1, 60)
+    for N in range(1, 61):
+        assert prof.values[N] == sum(enumerate_hits(s, N) for s in fam.sequences)
+        assert compare(prof.epsilon_values[N], epsilon(fam, N)) == 0
+    assert prof.violations
+
+
+def lattice_hit_family():
+    # 3*sqrt2 + (5 - 3*sqrt2) = 5: a lattice boundary hit at N = 5
+    return CoverFamily((BeattySequence(SQRT2, sub(5, mul(3, SQRT2))),
+                        BeattySequence(add(2, SQRT2))), 1)
+
+
+def generic_two_basis_family():
+    # rational alpha with an offset over sqrt2 and sqrt3
+    beta = add(SQRT2, SQRT3)
+    return CoverFamily((BeattySequence(Fraction(2), beta),
+                        BeattySequence(Fraction(2), sub(1, beta))), 1)
+
+
+@pytest.mark.parametrize("make_family", [
+    lattice_hit_family,
+    lambda: CoverFamily((BeattySequence(PHI), BeattySequence(PHI)), 1),
+    lambda: CoverFamily((BeattySequence(SQRT2), BeattySequence(SQRT3, Fraction(1, 2))), 1),
+    generic_two_basis_family,
+], ids=["lattice-hit", "duplicated-phi", "two-fields", "generic-two-basis"])
+def test_identity_failures_match_epsilon_reference(make_family):
+    fam = make_family()
+    prof = verify_window(fam, 1, 60)
+    reference = [N for N in range(1, 61)
+                 if compare(sub(epsilon(fam, N), epsilon(fam, N + 1)),
+                            prof.values[N] - fam.m) != 0]
+    assert prof.identity_failures
+    assert prof.identity_failures == reference
+
+
+def test_make_eval_chooses_by_field_test():
+    anchored = LinearExpr(Fraction(0), (("t", Fraction(1)),),
+                          Basis.make({"t": DecimalAnchor("0.123456")}))
+    one_field = LinearExpr(Fraction(1), (("s", Fraction(1)),),
+                           Basis.make({"s": SQRT2}))  # collapses to 1 + sqrt2
+    cases = [
+        (Fraction(1, 2), Fraction(-1, 3), _FastEval),
+        (INV_SQRT2, Fraction(1, 2), _FastEval),
+        (INV_SQRT2, SQRT2_MINUS_1, _FastEval),
+        (INV_SQRT2, one_field, _FastEval),
+        (Fraction(1, 2), SQRT3, _FastEval),
+        (INV_SQRT2, SQRT3, _GenericEval),
+        (Fraction(1, 2), add(SQRT2, SQRT3), _GenericEval),
+        (INV_SQRT2, anchored, _GenericEval),
+    ]
+    for theta, gamma, kind in cases:
+        ev = _make_eval(DualParameters(theta, gamma))
+        assert type(ev) is kind, (theta, gamma)
+        if kind is _FastEval:
+            reference = _GenericEval(theta, gamma)
+            for n in range(-5, 40):
+                assert ev.floor_ceil(n) == reference.floor_ceil(n), (theta, gamma, n)
+
+
+def test_fast_path_errors_propagate(monkeypatch):
+    def broken(self, n):
+        raise TypeError("broken integer evaluator")
+
+    monkeypatch.setattr(_FastEval, "floor_ceil", broken)
+    with pytest.raises(TypeError, match="broken integer evaluator"):
+        verify_window(golden_family(), 1, 50)
 
 
 def test_dualize_rejects_anchored_modulus():
@@ -272,6 +364,12 @@ def test_discrepancy_quadratic_small():
     assert d < Fraction(1, 100)
     d = discrepancy_diagnostic(sub(PHI, 1), 10 ** 3)
     assert d < Fraction(1, 50)
+
+
+def test_discrepancy_anchored_matches_quadratic():
+    theta = anchored_sqrt2_minus_1(80)
+    assert discrepancy_diagnostic(theta, 1000) == \
+        discrepancy_diagnostic(SQRT2_MINUS_1, 1000)
 
 
 def test_discrepancy_bounds():

@@ -53,6 +53,15 @@ def test_verify_deterministic_across_jobs():
     assert a.stdout == b.stdout
 
 
+def test_jobs_is_a_verify_flag():
+    proc = run_cli("verify", "--family", data("golden_pair.json"),
+                   "--window", "1", "10", "--jobs", "0", expect=3)
+    assert "jobs" in json.loads(proc.stderr)["error"]
+    proc = run_cli("certify-homogeneous", "--family", data("sqrt2_pair_m2.json"),
+                   "--jobs", "2", expect=2)  # argparse usage error
+    assert "--jobs" in proc.stderr
+
+
 def test_certify_homogeneous_pair():
     proc = run_cli("certify-homogeneous", "--family", data("sqrt2_pair_m2.json"),
                    expect=0)
@@ -169,10 +178,11 @@ def test_f_identity_true_constant():
 
 
 def test_f_identity_default_expectation_fails():
-    # the documented default (2) never matches: the sum is constantly 3
+    # the default expectation is the proven constant 3, so the defaults pass
     proc = run_cli("f-identity", "--theta", data("sqrt2_minus_1.json"),
-                   "--count", "50", expect=1)
+                   "--count", "50", expect=0)
     payload = json.loads(proc.stdout)
+    assert payload["expected"] == "3"
     assert payload["constant_value"].startswith("3.0000")
 
 

@@ -278,6 +278,23 @@ def test_mixed_field_products():
     assert compare(x, sqrt(6)) == 0
 
 
+def test_products_of_square_root_combinations_expand():
+    x = add(SQRT2, sqrt(5))  # over two radicands: stays a LinearExpr
+    y = add(Fraction(1, 3), add(SQRT3, sqrt(5)))
+    expected = add(Fraction(5), add(add(mul(Fraction(1, 3), SQRT2), sqrt(6)),
+                                    add(add(sqrt(10), mul(Fraction(1, 3), sqrt(5))),
+                                        sqrt(15))))
+    assert compare(mul(x, y), expected) == 0
+    # (sqrt2 + sqrt5) * phi = (5 + sqrt2 + sqrt5 + sqrt10) / 2
+    expected = div(add(Fraction(5), add(add(SQRT2, sqrt(5)), sqrt(10))), 2)
+    assert compare(mul(x, PHI), expected) == 0
+    assert compare(mul(PHI, x), expected) == 0
+    anchored = LinearExpr(Fraction(0), (("t", Fraction(1)),),
+                          Basis.make({"t": DecimalAnchor("0.123456")}))
+    with pytest.raises(ArithmeticError):
+        mul(x, anchored)
+
+
 def test_division():
     assert compare(div(1, SQRT2), INV_SQRT2) == 0
     assert div(Fraction(3, 2), Fraction(3, 4)) == Fraction(2)

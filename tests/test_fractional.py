@@ -25,7 +25,7 @@ from beattycover.fractional import (
     formula_densities,
     r_formula_value,
 )
-from conftest import INV_SQRT2, SQRT2_MINUS_1
+from conftest import INV_SQRT2, SQRT2_MINUS_1, anchored_sqrt2_minus_1
 
 
 def pair_ci():
@@ -248,3 +248,14 @@ def test_profile_json_shape():
     assert obj["R_check"]["mismatches"] == 0
     assert set(obj["formula_densities"]) == {"d0", "d1", "d2"}
     assert obj["empirical"]["outside_values"] == []
+
+
+def test_r_formula_check_accepts_anchored_theta1():
+    # theta1 known only through 80 decimals: no exact reciprocal modulus,
+    # so the partial sums must come from the dual parameters directly
+    anchored = FractionalPair.create(5, 3, anchored_sqrt2_minus_1(80))
+    report = R_formula_check(anchored, 40)
+    assert report.ok
+    assert report == R_formula_check(pair_ci(), 40)
+    assert empirical_densities(anchored, 300).counts == \
+        empirical_densities(pair_ci(), 300).counts
