@@ -25,6 +25,7 @@ from .exactnum import (
     RealLike,
     as_real,
     collapse,
+    strict_int,
 )
 
 
@@ -143,9 +144,9 @@ class ParameterSystem:
     phi: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        a = tuple(int(v) for v in self.a)
-        b = tuple(int(v) for v in self.b)
-        phi = tuple(int(v) for v in self.phi)
+        a = tuple(strict_int(v, "a entry") for v in self.a)
+        b = tuple(strict_int(v, "b entry") for v in self.b)
+        phi = tuple(strict_int(v, "phi entry") for v in self.phi)
         if not a:
             raise ValueError("a system needs at least one progression")
         if not (len(a) == len(b) == len(phi)):
@@ -198,8 +199,12 @@ class ParameterSystem:
         if "a" not in obj:
             raise ValueError("system needs field 'a'")
         a = obj["a"]
+        if not isinstance(a, list):
+            raise ValueError("system field 'a' must be a list")
         b = obj.get("b", [0] * len(a))
         phi = obj.get("phi", [0] * len(a))
+        if not isinstance(b, list) or not isinstance(phi, list):
+            raise ValueError("system fields 'b' and 'phi' must be lists")
         return cls(tuple(a), tuple(b), tuple(phi))
 
 

@@ -11,22 +11,33 @@ interval floor difference.
 
 The window scanner cross-checks each count against the fractional-sum
 identity r(N) = m + eps(N) - eps(N+1), where eps(N) is the sum of
-fractional parts {N*theta_i + gamma_i}.  One scan loop serves every
-count; per sequence it runs on pure integers (one integer square root
-per floor) when theta and gamma lie in one quadratic field, and on
+fractional parts {N*theta_i + gamma_i}.  One scalar scan loop serves
+every count; per sequence it runs on pure integers (one integer square
+root per floor) when theta and gamma lie in one quadratic field, and on
 certified refinement when anchors or several fields are involved.
+
+Families whose every theta is a quadratic irrational, with gamma
+rational or in theta's field, take the word path instead: each
+sequence's floor differences form a mechanical (Sturmian) word, built
+as bytes from its continued-fraction structure with exact integer
+floors only, and the scalar loop rescans just the few N where a count
+can differ from the floor difference.
 """
 
 from __future__ import annotations
 
+import math
+import re
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from itertools import islice
+from typing import NamedTuple, Optional
 
 from .exactnum import (
     CertifiedReal,
+    DecimalAnchor,
     LinearExpr,
     PrecisionExhausted,
     QuadraticIrrational,
@@ -44,6 +55,7 @@ from .exactnum import (
     real_from_json,
     real_to_json,
     sign,
+    strict_int,
     sub,
 )
 
@@ -132,7 +144,7 @@ class CoverFamily:
         if not isinstance(obj, dict) or set(obj) != {"m", "sequences"}:
             raise ValueError("family objects carry exactly m and sequences")
         return cls(tuple(BeattySequence.from_json(s) for s in obj["sequences"]),
-                   int(obj["m"]))
+                   strict_int(obj["m"], "m"))
 
 
 def dualize(family: CoverFamily) -> list[DualParameters]:
@@ -167,6 +179,10 @@ class _FastEval:
         self.At, self.Bt = at * rg, bt * rg
         self.Ag, self.Bg = ag * rt, bg * rt
 
+    def floor(self, n: int) -> int:
+        return floor_scaled_quadratic(self.At * n + self.Ag, self.Bt * n + self.Bg,
+                                      self.d, self.R)
+
     def floor_ceil(self, n: int) -> tuple[int, int]:
         a = self.At * n + self.Ag
         b = self.Bt * n + self.Bg
@@ -185,6 +201,9 @@ class _GenericEval:
         self.theta = theta
         self.gamma = gamma
         self.max_bits = max_bits
+
+    def floor(self, n: int) -> int:
+        return floor_certified(add(mul(n, self.theta), self.gamma), self.max_bits)
 
     def floor_ceil(self, n: int) -> tuple[int, int]:
         value = add(mul(n, self.theta), self.gamma)
@@ -255,29 +274,272 @@ def epsilon(family: CoverFamily, N: int, max_bits=None) -> CertifiedReal:
 
 
 # ---------------------------------------------------------------------------
+# the word path
+# ---------------------------------------------------------------------------
+
+_BLOCK = 1 << 20  # N per word block: about 1 MB of bytes per sequence
+
+# Quadratic numbers (a + b*sqrt(d))/r travel as integer triples (a, b, r)
+# with r > 0; d is fixed per sequence and passed alongside.  Triples, not
+# QuadraticIrrational: its constructor factors d by trial division on
+# every operation, and the recursion may step through a rational value.
+
+
+def _qnorm(a: int, b: int, r: int) -> tuple[int, int, int]:
+    if r < 0:
+        a, b, r = -a, -b, -r
+    g = math.gcd(a, b, r)
+    return (a // g, b // g, r // g) if g > 1 else (a, b, r)
+
+
+def _qmul(x, y, d: int) -> tuple[int, int, int]:
+    return _qnorm(x[0] * y[0] + x[1] * y[1] * d, x[0] * y[1] + x[1] * y[0],
+                  x[2] * y[2])
+
+
+def _qinv(x, d: int) -> tuple[int, int, int]:
+    a, b, r = x
+    return _qnorm(r * a, -r * b, a * a - b * b * d)  # nonzero: sqrt(d) irrational
+
+
+def _qfloor(x, d: int) -> int:
+    return floor_scaled_quadratic(x[0], x[1], d, x[2])
+
+
+def _qfrac(x, d: int) -> tuple[int, int, int]:
+    return x[0] - _qfloor(x, d) * x[2], x[1], x[2]
+
+
+_MARKS = bytes.maketrans(b"\x00\x01", b"\x02\x03")
+
+
+def _sturmian(t, s, d: int, L: int) -> bytes:
+    """floor((j+1)*t + s) - floor(j*t + s) for j = 0..L-1, as bytes of 0
+    and 1, for irrational 0 < t < 1 and 0 <= s < 1 in Q(sqrt(d)).
+
+    With K = floor(L*t + s) ones in all, the first sits at
+    ceil((1 - s)/t) - 1, and the gaps between consecutive ones are
+    reverse(W(1/t, (s - K)/t, K - 1)) for W this same word.  A gap is
+    a or a + 1 with a = floor(1/t), so the shorter word over {1/t} spells
+    the gaps as 0^(a-1) 1 and 0^a 1; every floor is an exact integer one."""
+    ta, tb, tr = t
+    sa, sb, sr = s
+    K = floor_scaled_quadratic(L * ta * sr + sa * tr, L * tb * sr + sb * tr,
+                               d, tr * sr)
+    if K == 0:
+        return bytes(L)
+    inv = _qinv(t, d)
+    first = -_qfloor(_qmul((sa - sr, sb, sr), inv, d), d) - 1
+    if K == 1:
+        return bytes(first) + b"\x01" + bytes(L - 1 - first)
+    a = _qfloor(inv, d)
+    gaps = _sturmian((inv[0] - a * inv[2], inv[1], inv[2]),
+                     _qfrac(_qmul((sa - K * sr, sb, sr), inv, d), d), d, K - 1)
+    body = (gaps[::-1].translate(_MARKS)
+            .replace(b"\x02", bytes(a - 1) + b"\x01")
+            .replace(b"\x03", bytes(a) + b"\x01"))
+    tail = L - 1 - first - len(body)
+    if tail < 0:
+        raise RuntimeError("Sturmian word overran its length")
+    return b"".join((bytes(first), b"\x01", body, bytes(tail)))
+
+
+class _WordSeq:
+    """One sequence on the word path: x(N) = N*theta + gamma through its
+    integer evaluator, with theta split into whole and fractional parts."""
+
+    __slots__ = ("ev", "d", "whole", "frac", "shift")
+
+    def __init__(self, ev: _FastEval):
+        self.ev = ev
+        d = self.d = ev.d
+        theta = _qnorm(ev.At, ev.Bt, ev.R)
+        self.whole = _qfloor(theta, d)
+        self.frac = (theta[0] - self.whole * theta[2], theta[1], theta[2])
+        self.shift = bytes((v + self.whole) & 0xFF for v in range(256))
+
+    def irregular(self) -> tuple[int, Optional[int]]:
+        """The last N with x(N) <= 0, and the one N (if any) with x(N) an
+        integer, which exists at most once because theta is irrational."""
+        ev, d = self.ev, self.d
+        clip = _qfloor(_qmul((-ev.Ag, -ev.Bg, 1), _qinv((ev.At, ev.Bt, 1), d), d), d)
+        hit = None
+        if ev.Bg % ev.Bt == 0:
+            n0 = -ev.Bg // ev.Bt
+            if (ev.At * n0 + ev.Ag) % ev.R == 0:
+                hit = n0
+        return clip, hit
+
+    def word(self, start: int, L: int, fl: int) -> bytes:
+        """D(N) = floor(x(N+1)) - floor(x(N)) for N = start..start+L-1,
+        given fl = floor(x(start))."""
+        ev = self.ev
+        s = _qnorm(ev.At * start + ev.Ag - fl * ev.R, ev.Bt * start + ev.Bg, ev.R)
+        w = _sturmian(self.frac, s, self.d, L)
+        return w.translate(self.shift) if self.whole else w
+
+
+def _anchored(x: CertifiedReal) -> bool:
+    return isinstance(x, LinearExpr) and any(
+        isinstance(x.basis.value(lab), DecimalAnchor) for lab, _ in x.terms)
+
+
+def _word_plan(duals) -> tuple[Optional[list[_WordSeq]], Optional[str]]:
+    """(word sequences, None) when the word path serves every sequence,
+    otherwise (None, the reason the scalar core runs instead)."""
+    seqs = []
+    for dual in duals:
+        st = _decompose_simple(dual.theta)
+        sg = _decompose_simple(dual.gamma)
+        if st is None or sg is None:
+            if _anchored(dual.theta) or _anchored(dual.gamma):
+                return None, "anchored"
+            return None, "mixed-field"
+        if not st[1]:
+            return None, "rational theta"
+        if sg[1] and sg[2] != st[2]:
+            return None, "mixed-field"
+        seqs.append(_WordSeq(_FastEval(st, sg)))
+    if sum(s.whole + 1 for s in seqs) > 0xFF:
+        return None, "counts above 255"
+    return seqs, None
+
+
+class _Block(NamedTuple):
+    start: int
+    counts: bytes  # r(N) for N = start, start + 1, ...
+    hist: dict[int, int]  # value -> occurrences in counts
+    f_start: int  # F(start)
+    fixes: dict[int, int]  # rescanned N -> F(N+1) - F(N)
+
+    def steps(self) -> bytes:
+        """F(N+1) - F(N) for every N of the block."""
+        if not self.fixes:
+            return self.counts
+        out = bytearray(self.counts)
+        for N, df in self.fixes.items():
+            out[N - self.start] = df
+        return out
+
+
+def _word_blocks(seqs, duals, lo: int, hi: int, max_bits=None, block=_BLOCK):
+    """Yield r(N) over [lo, hi] in ``block``-sized bytes.
+
+    With x_i(N) = N*theta_i + gamma_i and C_i(N) = max(ceil(x_i(N)), 1),
+    r_i(N) = C_i(N+1) - C_i(N).  Where x_i(N) > 0 is not an integer,
+    C_i(N) = floor(x_i(N)) + 1; so r_i(N) = D_i(N), the floor difference,
+    unless N or N + 1 is irregular: x_i <= 0 there (N at most the clip
+    end) or x_i an integer (N beside the lattice hit).  The bytes are the
+    sum of the words D_i; the irregular N are rescanned by the scalar
+    core and patched in.  Each block's total is checked against the
+    exact floors F at its two ends."""
+    irregular = [s.irregular() for s in seqs]
+    clip_end = max(c for c, _ in irregular)
+    hits = sorted({n for c, h in irregular if h is not None
+                   for n in (h - 1, h) if n > clip_end})
+    top = sum(s.whole + 1 for s in seqs)  # r_i and D_i are at most ceil(theta_i)
+    floors = [s.ev.floor_ceil(lo)[0] for s in seqs]
+    for start in range(lo, hi + 1, block):
+        end = min(start + block - 1, hi)
+        L = end - start + 1
+        words = [s.word(start, L, fl) for s, fl in zip(seqs, floors)]
+        counts = words[0] if len(words) == 1 else sum(
+            int.from_bytes(w, "little") for w in words).to_bytes(L, "little")
+        runs = [(start, min(clip_end, end))] if clip_end >= start else []
+        runs += [(n, n) for n in hits if start <= n <= end]
+        fixes = {}
+        if runs:
+            counts = bytearray(counts)
+            for a, b in runs:
+                for N, (r, f_now, f_next) in enumerate(_scan(duals, a, b, max_bits), a):
+                    counts[N - start] = r
+                    fixes[N] = f_next - f_now
+        next_floors = [s.ev.floor_ceil(end + 1)[0] for s in seqs]
+        hist = {}
+        left = L
+        for v in range(top + 1):
+            c = counts.count(v) if left else 0
+            if c:
+                hist[v] = c
+                left -= c
+        total = sum(v * c for v, c in hist.items()) + sum(
+            df - counts[N - start] for N, df in fixes.items())
+        if total != sum(next_floors) - sum(floors):
+            raise RuntimeError(f"word path disagrees with exact floors on "
+                               f"[{start}, {end}]")
+        yield _Block(start, counts, hist, sum(floors), fixes)
+        floors = next_floors
+
+
+def _r_blocks(duals, lo: int, hi: int, max_bits=None):
+    """r(N) for N = lo..hi as consecutive (counts, histogram) blocks:
+    bytes from the word path when it serves ``duals``, lists from the
+    scalar core otherwise."""
+    seqs, _ = _word_plan(duals)
+    if seqs is not None:
+        for b in _word_blocks(seqs, duals, lo, hi, max_bits):
+            yield b.counts, b.hist
+        return
+    rs = (r for r, _, _ in _scan(duals, lo, hi, max_bits))
+    while chunk := list(islice(rs, _BLOCK)):
+        yield chunk, Counter(chunk)
+
+
+# ---------------------------------------------------------------------------
 # window verification
 # ---------------------------------------------------------------------------
+
+
+class _WindowMap(Mapping):
+    """Read-only N -> value view of a sequence indexed from N = lo."""
+
+    __slots__ = ("lo", "seq")
+
+    def __init__(self, lo: int, seq: Sequence):
+        self.lo = lo
+        self.seq = seq
+
+    def __getitem__(self, N):
+        i = N - self.lo
+        if 0 <= i < len(self.seq):
+            return self.seq[i]
+        raise KeyError(N)
+
+    def __iter__(self):
+        return iter(range(self.lo, self.lo + len(self.seq)))
+
+    def __len__(self) -> int:
+        return len(self.seq)
 
 
 @dataclass
 class RepresentationProfile:
     """Scan results over an integer window.
 
-    ``violations`` lists every N with r(N) != m.  ``identity_failures``
-    lists every N where r(N) = m + eps(N) - eps(N+1) fails exactly; that
-    can only happen at lattice boundary hits or when the reciprocal sum
-    is not m, so acceptance scans expect it empty."""
+    ``counts`` holds r(N) at index N - window[0] (bytes on the word path,
+    a list on the scalar one) and ``epsilons`` holds eps(N) the same way
+    when they were kept; ``values`` and ``epsilon_values`` view them as
+    read-only N -> value mappings.  ``violations`` lists every N with
+    r(N) != m.  ``identity_failures`` lists every N where r(N) = m +
+    eps(N) - eps(N+1) fails exactly; that can only happen at lattice
+    boundary hits or when the reciprocal sum is not m, so acceptance
+    scans expect it empty."""
 
     window: tuple[int, int]
     m: int
-    values: dict[int, int] = field(default_factory=dict)
-    epsilon_values: dict[int, CertifiedReal] = field(default_factory=dict)
-    violations: list[int] = field(default_factory=list)
-    identity_failures: list[int] = field(default_factory=list)
+    counts: Sequence[int]
+    epsilons: Sequence[CertifiedReal]
+    violations: list[int]
+    identity_failures: list[int]
+    r_histogram: dict[int, int]
 
     @property
-    def r_histogram(self) -> dict[int, int]:
-        return dict(sorted(Counter(self.values.values()).items()))
+    def values(self) -> Mapping[int, int]:
+        return _WindowMap(self.window[0], self.counts)
+
+    @property
+    def epsilon_values(self) -> Mapping[int, CertifiedReal]:
+        return _WindowMap(self.window[0], self.epsilons)
 
     def first_violation(self) -> Optional[int]:
         return self.violations[0] if self.violations else None
@@ -292,17 +554,13 @@ class RepresentationProfile:
         }
 
 
-def _scan_chunk(args):
-    """Counts, violations, identity failures and (optionally) eps over
-    [lo, hi].
+def _identity_sums(duals, m: int):
+    """(m - sum theta if it is an integer else None, sum theta, sum gamma).
 
     Since {x} = x - floor(x), eps(N) - eps(N+1) = F(N+1) - F(N) - sum theta,
     so the identity r(N) = m + eps(N) - eps(N+1) is the integer test
     r(N) - (F(N+1) - F(N)) == m - sum theta; when m - sum theta is not an
     integer it fails at every N."""
-    family, lo, hi, keep_epsilon, max_bits = args
-    duals = dualize(family)
-    m = family.m
     theta_sum: CertifiedReal = Fraction(0)
     gamma_sum: CertifiedReal = Fraction(0)
     for d in duals:
@@ -310,29 +568,92 @@ def _scan_chunk(args):
         gamma_sum = add(gamma_sum, d.gamma)
     k = sub(m, theta_sum)
     k_int = k.numerator if isinstance(k, Fraction) and k.denominator == 1 else None
-    values: dict[int, int] = {}
-    eps_values: dict[int, CertifiedReal] = {}
+    return k_int, theta_sum, gamma_sum
+
+
+def _epsilons(theta_sum, gamma_sum, lo: int, f_lo: int, steps):
+    """eps(N) for N = lo, lo + 1, ... from F(lo) and the floor steps
+    F(N+1) - F(N): eps(N+1) = eps(N) + sum theta - (F(N+1) - F(N)).  On a
+    cover every step is 0, so one shared object serves every N."""
+    eps = sub(add(mul(lo, theta_sum), gamma_sum), f_lo)
+    cache: dict[int, CertifiedReal] = {}
+    for df in steps:
+        yield eps
+        step = cache.get(df)
+        if step is None:
+            step = cache[df] = sub(theta_sum, df)
+        if step != 0:
+            eps = add(eps, step)
+
+
+def _scan_chunk(args):
+    """Counts, eps (or []), violations and identity failures over [lo, hi]
+    from the scalar core."""
+    family, lo, hi, keep_epsilon, max_bits = args
+    duals = dualize(family)
+    m = family.m
+    k_int, theta_sum, gamma_sum = _identity_sums(duals, m)
+    counts: list[int] = []
+    steps: list[int] = []
     violations: list[int] = []
     identity_failures: list[int] = []
-    eps: Optional[CertifiedReal] = None
-    steps: dict[int, CertifiedReal] = {}  # F(N+1) - F(N) -> eps(N+1) - eps(N)
+    f_lo = None
     for N, (r, f_now, f_next) in enumerate(_scan(duals, lo, hi, max_bits), lo):
-        values[N] = r
+        if f_lo is None:
+            f_lo = f_now
+        counts.append(r)
         if r != m:
             violations.append(N)
         df = f_next - f_now
         if r - df != k_int:
             identity_failures.append(N)
         if keep_epsilon:
-            if eps is None:
-                eps = sub(add(mul(N, theta_sum), gamma_sum), f_now)
-            eps_values[N] = eps
-            step = steps.get(df)
-            if step is None:
-                step = steps[df] = sub(theta_sum, df)
-            if step != 0:
-                eps = add(eps, step)
-    return values, eps_values, violations, identity_failures
+            steps.append(df)
+    eps = list(_epsilons(theta_sum, gamma_sum, lo, f_lo, steps)) if keep_epsilon else []
+    return counts, eps, violations, identity_failures
+
+
+def _word_profile(family: CoverFamily, duals, seqs, lo: int, hi: int,
+                  keep_epsilon: bool, max_bits=None,
+                  block=_BLOCK) -> RepresentationProfile:
+    """The profile of [lo, hi] from the word path.
+
+    Off the rescanned N of each block, r(N) = F(N+1) - F(N) exactly (see
+    _word_blocks), so the identity test r(N) - (F(N+1) - F(N)) == m -
+    sum theta reads 0 == m - sum theta there: it fails at none of those N
+    when sum theta = m and at all of them otherwise.  The rescanned N are
+    tested one by one on the scalar core's floors."""
+    m = family.m
+    k_int, theta_sum, gamma_sum = _identity_sums(duals, m)
+    counts = bytearray(hi - lo + 1)
+    hist: Counter = Counter()
+    violations: list[int] = []
+    identity_failures: list[int] = []
+    steps: list[bytes] = []
+    f_lo = None
+    off_m = re.compile(b"[^" + re.escape(bytes([m])) + b"]" if m <= 0xFF else b".",
+                       re.S)
+    for b in _word_blocks(seqs, duals, lo, hi, max_bits, block):
+        L = len(b.counts)
+        counts[b.start - lo:b.start - lo + L] = b.counts
+        hist.update(b.hist)
+        if b.hist.get(m) != L:
+            violations.extend(b.start + x.start() for x in off_m.finditer(b.counts))
+        if k_int == 0:
+            identity_failures.extend(N for N, df in sorted(b.fixes.items())
+                                     if b.counts[N - b.start] != df)
+        else:
+            identity_failures.extend(
+                N for N in range(b.start, b.start + L)
+                if N not in b.fixes or b.counts[N - b.start] - b.fixes[N] != k_int)
+        if keep_epsilon:
+            if f_lo is None:
+                f_lo = b.f_start
+            steps.append(b.steps())
+    eps = list(_epsilons(theta_sum, gamma_sum, lo, f_lo,
+                         (df for s in steps for df in s))) if keep_epsilon else []
+    return RepresentationProfile((lo, hi), m, counts, eps, violations,
+                                 identity_failures, dict(sorted(hist.items())))
 
 
 def verify_window(family: CoverFamily, n_lo: int, n_hi: int, *,
@@ -341,14 +662,19 @@ def verify_window(family: CoverFamily, n_lo: int, n_hi: int, *,
     """Scan r(N) over [n_lo, n_hi], reporting every N with r(N) != m and
     cross-checking the fractional-sum identity at each N.
 
-    The window may be partitioned across processes; chunk results merge
-    in window order, so the profile is independent of ``jobs``."""
+    A family the word path serves is scanned in this process whatever
+    ``jobs`` is.  Otherwise the window may be partitioned across
+    processes; chunk results merge in window order, so the profile is
+    independent of ``jobs``."""
     if n_lo < 1 or n_hi < n_lo:
         raise ValueError("window must satisfy 1 <= n_lo <= n_hi")
-    profile = RepresentationProfile((n_lo, n_hi), family.m)
+    duals = dualize(family)
+    seqs, _ = _word_plan(duals)
+    if seqs is not None:
+        return _word_profile(family, duals, seqs, n_lo, n_hi, keep_epsilon,
+                             max_bits)
     if jobs <= 1 or (n_hi - n_lo) < 4 * jobs:
-        chunks = [(family, n_lo, n_hi, keep_epsilon, max_bits)]
-        results = [_scan_chunk(chunks[0])]
+        results = [_scan_chunk((family, n_lo, n_hi, keep_epsilon, max_bits))]
     else:
         bounds = []
         step = (n_hi - n_lo + 1 + jobs - 1) // jobs
@@ -357,16 +683,22 @@ def verify_window(family: CoverFamily, n_lo: int, n_hi: int, *,
             end = min(start + step - 1, n_hi)
             bounds.append((family, start, end, keep_epsilon, max_bits))
             start = end + 1
+        # imported here: only the scalar fallback uses a pool, and the
+        # import costs about 20 ms of every start-up
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_scan_chunk, bounds))
-    for values, eps_values, violations, identity_failures in results:
-        profile.values.update(values)
-        profile.epsilon_values.update(eps_values)
-        profile.violations.extend(violations)
-        profile.identity_failures.extend(identity_failures)
-    profile.violations.sort()
-    profile.identity_failures.sort()
-    return profile
+    counts: list[int] = []
+    eps: list[CertifiedReal] = []
+    violations: list[int] = []
+    failures: list[int] = []
+    for c, e, v, f in results:
+        counts += c
+        eps += e
+        violations += v
+        failures += f
+    return RepresentationProfile((n_lo, n_hi), family.m, counts, eps, violations,
+                                 failures, dict(sorted(Counter(counts).items())))
 
 
 # ---------------------------------------------------------------------------
@@ -393,11 +725,10 @@ def discrepancy_diagnostic(theta: RealLike, N: int,
             best = max(best, Fraction(i, N) - x, x - Fraction(i - 1, N))
         return best
     scale = 1 << 64
-    # floor(2^64*n*theta) - 2^64*floor(n*theta) = floor(2^64*{n*theta})
-    ev = _make_eval(DualParameters(theta, Fraction(0)), max_bits)
+    # floor(2^64*{n*theta}) = floor(2^64*n*theta) - 2^64*floor(n*theta), and
+    # floor(n*theta) = floor(floor(2^64*n*theta) / 2^64): one floor per n
     ev_scaled = _make_eval(DualParameters(mul(theta, scale), Fraction(0)), max_bits)
-    keys = [ev_scaled.floor_ceil(n)[0] - scale * ev.floor_ceil(n)[0]
-            for n in range(1, N + 1)]
+    keys = [ev_scaled.floor(n) % scale for n in range(1, N + 1)]
     keys.sort()
     # maximise i/N - k/scale and k/scale - (i-1)/N over integers
     best_num = 0  # numerator over N*scale

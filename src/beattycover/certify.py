@@ -40,6 +40,7 @@ from .exactnum import (
     real_from_json,
     real_to_json,
     sign,
+    strict_int,
     sub,
 )
 
@@ -249,7 +250,8 @@ class GrahamSpec:
             blocks.append(GrahamBlock(
                 real_from_json(b["alpha1"]), real_from_json(b["beta1"]),
                 real_from_json(b["alpha2"]), real_from_json(b["beta2"]),
-                int(b["pair_sum"]), int(b["cover_multiplicity"]),
+                strict_int(b["pair_sum"], "pair_sum"),
+                strict_int(b["cover_multiplicity"], "cover_multiplicity"),
                 tuple(APTerm(t["a"], t["offset"]) for t in b["cover1"]),
                 tuple(APTerm(t["a"], t["offset"]) for t in b["cover2"])))
         return cls(tuple(blocks))

@@ -5,8 +5,8 @@ JSON inputs; results go to stdout (or --out) as JSON with sorted keys,
 so identical inputs produce byte-identical output at any parallelism.
 
 Exit codes: 0 verified or certified true, 1 counterexample or negative
-verdict (witness on stdout), 2 inconclusive, 3 input error, 4 precision
-exhausted.
+verdict (witness on stdout), 2 inconclusive, 3 input error (usage errors
+included), 4 precision exhausted.
 """
 
 from __future__ import annotations
@@ -31,6 +31,15 @@ EXIT_PRECISION = 4
 
 class InputError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors: exit 3 with a JSON error on stderr,
+    not argparse's exit 2, which means "inconclusive" here."""
+
+    def error(self, message):
+        print(json.dumps({"error": f"{self.prog}: {message}"}), file=sys.stderr)
+        sys.exit(EXIT_INPUT)
 
 
 def _load_json(path: str):
@@ -98,14 +107,14 @@ def cmd_verify(args):
     family = _load_family(args.family)
     lo, hi = args.window
     profile = beatty.verify_window(family, lo, hi, jobs=args.jobs,
-                                   keep_epsilon=args.format == "csv")
+                                   keep_epsilon=args.format == "csv",
+                                   max_bits=args.precision)
     payload = profile.to_json()
     rows = None
     if args.format == "csv":
         rows = [("N", "r", "epsilon")]
-        for n in range(lo, hi + 1):
-            rows.append((n, profile.values[n],
-                         decimal_str(profile.epsilon_values[n], 50)))
+        rows += [(n, r, decimal_str(e, 50)) for n, r, e in
+                 zip(range(lo, hi + 1), profile.counts, profile.epsilons)]
     code = EXIT_OK if not profile.violations else EXIT_COUNTEREXAMPLE
     return code, payload, rows
 
@@ -309,7 +318,7 @@ def cmd_f_identity(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="beattycover",
         description="exact verification, certification and decomposition of "
                     "eventual exact m-covers by Beatty sequences")

@@ -746,10 +746,24 @@ def _require_keys(obj: dict, keys: set[str], what: str) -> None:
         raise ValueError(f"bad {what} object: " + ", ".join(detail))
 
 
+_INT_RE = re.compile(r"[+-]?\d+")
+
+
 def _int_str(s) -> int:
-    if isinstance(s, str) and re.fullmatch(r"[+-]?\d+", s):
+    if isinstance(s, str) and _INT_RE.fullmatch(s):
         return int(s)
     raise ValueError(f"expected a decimal integer string, got {s!r}")
+
+
+def strict_int(value, what: str) -> int:
+    """An integer field read from JSON: an int or a decimal integer
+    string.  Floats, bools and other strings are rejected rather than
+    truncated: 2.5, true and "2.0" are input errors, not 2, 1 and 2."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and _INT_RE.fullmatch(value):
+        return int(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def real_to_json(x: RealLike) -> dict:

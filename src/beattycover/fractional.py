@@ -14,7 +14,8 @@ p0 = p mod q and the grid cell p1 with p1/q < {theta_1} < (p1+1)/q:
 
 Everything here is exact: case labels and the closed forms use certified
 comparisons, densities are exact carriers, and the million-point scans
-run on integer arithmetic (one integer square root per floor).
+run on the word path of ``beatty`` (the scalar integer core when theta_1
+is anchored).
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain, islice
 from typing import Optional
 
-from .beatty import BeattySequence, CoverFamily, DualParameters, _scan
+from .beatty import BeattySequence, CoverFamily, DualParameters, _r_blocks
 from .exactnum import (
     CertifiedReal,
     RealLike,
@@ -138,20 +140,19 @@ def r_formula_value(pair: FractionalPair, N: int) -> int:
 def R_formula_check(pair: FractionalPair, n_max: int) -> RFormulaReport:
     """Brute-force partial sums of r against the closed form.
 
-    The running sum adds the hit counts of the scan core over the two
+    The running sums add the hit counts r(M), M = 1..qN-1, of the two
     dual sequences, an independent route from the fractional-part
     shortcut used elsewhere in this module."""
+    q = pair.q
     mismatches = []
-    running = 0
-    target = pair.q * n_max - 1
-    checkpoints = {pair.q * N - 1: N for N in range(1, n_max + 1)}
-    for M, (r, _, _) in enumerate(_scan(pair.duals(), 1, target), 1):
-        running += r
-        N = checkpoints.get(M)
-        if N is not None:
-            formula = r_formula_value(pair, N)
-            if running != formula:
-                mismatches.append((N, running, formula))
+    first = 1 if q > 1 else 2  # R(qN - 1) is an empty sum below that
+    counts = chain.from_iterable(c for c, _ in _r_blocks(pair.duals(), 1,
+                                                         q * n_max - 1))
+    running_sums = islice(accumulate(counts), q * first - 2, None, q)
+    for N, running in zip(range(first, n_max + 1), running_sums):
+        formula = r_formula_value(pair, N)
+        if running != formula:
+            mismatches.append((N, running, formula))
     branch = "low" if pair.p1 < pair.p0 else "high"
     return RFormulaReport(n_max, branch, tuple(mismatches))
 
@@ -251,8 +252,9 @@ def empirical_densities(pair: FractionalPair, n_max: int) -> EmpiricalReport:
         raise ValueError("n_max must be at least q")
     _, values = classify(pair)
     counts: dict[int, int] = {}
-    for r, _, _ in _scan(pair.duals(), 1, n_max):
-        counts[r] = counts.get(r, 0) + 1
+    for _, hist in _r_blocks(pair.duals(), 1, n_max):
+        for r, c in hist.items():
+            counts[r] = counts.get(r, 0) + c
     outside = tuple(sorted(v for v in counts if v not in values))
     freqs = {v: Fraction(counts.get(v, 0), n_max) for v in values}
     max_dev: Optional[Fraction] = None

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 DATA = Path(__file__).resolve().parent.parent / "data"
 
 
@@ -58,8 +60,50 @@ def test_jobs_is_a_verify_flag():
                    "--window", "1", "10", "--jobs", "0", expect=3)
     assert "jobs" in json.loads(proc.stderr)["error"]
     proc = run_cli("certify-homogeneous", "--family", data("sqrt2_pair_m2.json"),
-                   "--jobs", "2", expect=2)  # argparse usage error
-    assert "--jobs" in proc.stderr
+                   "--jobs", "2", expect=3)  # a usage error is an input error
+    assert "--jobs" in json.loads(proc.stderr)["error"]
+
+
+def test_usage_errors_exit_3_with_json():
+    for argv in (("verify", "--family", data("golden_pair.json")),
+                 ("verify", "--family", data("golden_pair.json"),
+                  "--window", "1", "x"),
+                 ("no-such-command",)):
+        proc = run_cli(*argv, expect=3)
+        assert proc.stderr.count("\n") == 1
+        assert json.loads(proc.stderr)["error"]
+
+
+def _json_file(tmp_path, obj) -> str:
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize("bad", [2.5, True, "2.0"], ids=["float", "bool", "decimal-string"])
+def test_integer_fields_are_strict(tmp_path, bad):
+    family = json.loads((DATA / "golden_pair.json").read_text())
+    family["m"] = bad
+    proc = run_cli("verify", "--family", _json_file(tmp_path, family),
+                   "--window", "1", "10", expect=3)
+    assert "m must be an integer" in json.loads(proc.stderr)["error"]
+
+    spec = json.loads((DATA / "graham_two_cover_spec.json").read_text())
+    spec["blocks"][0]["pair_sum"] = bad
+    proc = run_cli("build-graham", "--spec", _json_file(tmp_path, spec), expect=3)
+    assert "pair_sum must be an integer" in json.loads(proc.stderr)["error"]
+
+    system = json.loads((DATA / "system_3x3.json").read_text())
+    system["a"][0] = bad
+    proc = run_cli("exactness", "--system", _json_file(tmp_path, system), expect=3)
+    assert "a entry must be an integer" in json.loads(proc.stderr)["error"]
+
+
+def test_integer_strings_are_accepted(tmp_path):
+    family = json.loads((DATA / "golden_pair.json").read_text())
+    family["m"] = "1"
+    run_cli("verify", "--family", _json_file(tmp_path, family),
+            "--window", "1", "10", expect=0)
 
 
 def test_certify_homogeneous_pair():
